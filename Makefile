@@ -45,11 +45,13 @@ race:
 # The sharded-NoC bit-identity matrix under the race detector: every
 # mode x both router architectures x worker counts 1/4/8 against the
 # exhaustive sequential sweep (checkpoint bytes + final results), plus
-# the internal/noc shard property tests. This is the data-race proof
-# for the sharded stepping path — blocking in CI.
+# the internal/noc and internal/core shard and gating property tests
+# (every gated network steps through the shard path, one shard when
+# sequential). This is the data-race proof for the sharded stepping
+# path — blocking in CI.
 race-shard:
 	$(GO) test -race -run 'TestShardedBitIdenticalAllModes' -count=1 .
-	$(GO) test -race -run 'Shard' -count=1 ./internal/noc ./internal/core
+	$(GO) test -race -run 'Shard|Gating' -count=1 ./internal/noc ./internal/core
 
 simcheck:
 	$(GO) test -tags simcheck ./...

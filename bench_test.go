@@ -17,7 +17,6 @@ import (
 	"repro"
 	"repro/internal/expt"
 	"repro/internal/noc"
-	"repro/internal/noc/engine"
 	"repro/internal/noc/topology"
 	"repro/internal/sim"
 	"repro/internal/traffic"
@@ -82,13 +81,12 @@ func BenchmarkNoCCycles(b *testing.B) {
 	b.ReportMetric(float64(net.FlitsSwitched())/float64(b.N), "flits/cycle")
 }
 
-// BenchmarkNoCCyclesParallel measures the same under the parallel
-// engine (on a multi-core host this shows the offload mechanism; on a
-// single-core host it measures dispatch overhead).
+// BenchmarkNoCCyclesParallel measures the same with the sweep sharded
+// across four workers (on a multi-core host this shows the parallel
+// speedup; on a single-core host it measures barrier overhead).
 func BenchmarkNoCCyclesParallel(b *testing.B) {
 	m := topology.NewMesh(8, 8, 1)
-	net, err := noc.New(noc.DefaultConfig(), m, topology.NewXY(m),
-		noc.WithEngine(engine.NewParallel(4)))
+	net, err := noc.New(noc.DefaultConfig(), m, topology.NewXY(m), noc.WithWorkers(4))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -139,18 +137,14 @@ func benchQuantum(b *testing.B, rate float64, disableGating bool) {
 }
 
 // benchQuantumMesh generalizes benchQuantum across mesh widths and
-// shard worker counts (workers <= 1 is the sequential sweep). The
+// shard worker counts (workers <= 1 is one shard, sequential). The
 // in-flight cap and the traffic plan scale with the router count so
 // every mesh size runs equally saturated.
 func benchQuantumMesh(b *testing.B, width, workers int, rate float64, disableGating bool) {
 	m := topology.NewMesh(width, width, 1)
 	cfg := noc.DefaultConfig()
 	cfg.DisableGating = disableGating
-	var opts []noc.Option
-	if workers > 1 {
-		opts = append(opts, noc.WithWorkers(workers))
-	}
-	net, err := noc.New(cfg, m, topology.NewXY(m), opts...)
+	net, err := noc.New(cfg, m, topology.NewXY(m), noc.WithWorkers(workers))
 	if err != nil {
 		b.Fatal(err)
 	}

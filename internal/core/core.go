@@ -105,8 +105,10 @@ type CycleNet interface {
 	Recycle(p *noc.Packet)
 	ActivityStats() noc.ActivityStats
 	// ShardStats reports the sharded stepping layer's work accounting
-	// (zero-valued when the network steps unsharded).
+	// (zero-valued when the network steps as one shard);
+	// SetShardTiming switches its wall timers on or off.
 	ShardStats() noc.ShardStats
+	SetShardTiming(on bool)
 	Close()
 }
 
@@ -140,6 +142,9 @@ func (d *Detailed) ActivityStats() noc.ActivityStats { return d.Net.ActivityStat
 
 // ShardStats reports the wrapped network's sharded-stepping accounting.
 func (d *Detailed) ShardStats() noc.ShardStats { return d.Net.ShardStats() }
+
+// SetShardTiming switches the wrapped network's shard wall timers.
+func (d *Detailed) SetShardTiming(on bool) { d.Net.SetShardTiming(on) }
 
 // Drain implements Backend.
 func (d *Detailed) Drain() []*noc.Packet { return d.Net.Drain() }

@@ -106,6 +106,53 @@ func TestCosimShardedBitIdentical(t *testing.T) {
 	}
 }
 
+// TestShardTimingFollowsWallObserver pins that the shard wall timers
+// run only while a wall-enabled observer is attached: a sharded run
+// with no observer or a deterministic one leaves BusyNanos/StepNanos at
+// 0, a wall observer turns them on, and detaching it turns them off.
+func TestShardTimingFollowsWallObserver(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		opts  *obs.Options
+		timed bool
+	}{
+		{"none", nil, false},
+		{"metrics", &obs.Options{Trace: true, Metrics: true, Calib: true}, false},
+		{"wall", &obs.Options{Metrics: true, Wall: true}, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			d := shardedMeshBackend(4)(t).(*Detailed)
+			cs, err := Build(fullsys.DefaultConfig(16), workload.NewFFT(16, 250, 42), d, 8)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.opts != nil {
+				cs.SetObserver(obs.New(*tc.opts))
+			}
+			cs.Run(3_000)
+			st := d.ShardStats()
+			if st.Shards != 4 || st.Stepped == 0 {
+				t.Fatalf("ShardStats = %+v, want 4 shards and stepped cycles", st)
+			}
+			if timed := st.BusyNanos > 0 && st.StepNanos > 0; timed != tc.timed {
+				t.Fatalf("BusyNanos=%d StepNanos=%d, want timed=%v", st.BusyNanos, st.StepNanos, tc.timed)
+			}
+			if !tc.timed && (st.BusyNanos != 0 || st.StepNanos != 0) {
+				t.Fatalf("untimed run recorded BusyNanos=%d StepNanos=%d, want 0", st.BusyNanos, st.StepNanos)
+			}
+			cs.SetObserver(nil)
+			cs.Run(6_000)
+			after := d.ShardStats()
+			if after.Stepped == st.Stepped {
+				t.Fatal("fixture stepped no cycles after detaching the observer")
+			}
+			if after.StepNanos != st.StepNanos || after.BusyNanos != st.BusyNanos {
+				t.Errorf("timers kept running after the observer was detached: %+v -> %+v", st, after)
+			}
+		})
+	}
+}
+
 // TestCosimDeterministic is the full-system determinism regression:
 // the same seeded workload through a freshly built system + detailed
 // NoC must produce a bit-identical outcome, at both the synchronous

@@ -89,7 +89,12 @@ type activityReporter interface{ ActivityStats() noc.ActivityStats }
 
 // shardReporter is the optional sharded-stepping telemetry surface of
 // a backend (satisfied by Detailed over either cycle-level network).
-type shardReporter interface{ ShardStats() noc.ShardStats }
+// The shard wall timers run only while a wall-enabled observer is
+// attached.
+type shardReporter interface {
+	ShardStats() noc.ShardStats
+	SetShardTiming(on bool)
+}
 
 // wallHistBins sizes the host-time histograms: 10us bins up to 10ms.
 const (
@@ -105,6 +110,9 @@ const (
 // back: enabling this changes no fingerprints and no snapshot bytes
 // (asserted by determinism tests).
 func (c *Cosim) SetObserver(o *obs.Observer) {
+	if sr, ok := c.Net.(shardReporter); ok {
+		sr.SetShardTiming(o != nil && o.Wall())
+	}
 	if o == nil {
 		c.obsH = nil
 		return

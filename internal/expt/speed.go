@@ -8,7 +8,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/gpu"
 	"repro/internal/noc"
-	"repro/internal/noc/engine"
 	"repro/internal/noc/topology"
 	"repro/internal/stats"
 	"repro/internal/traffic"
@@ -85,7 +84,7 @@ func FigureF7(s Scale) []*stats.Table {
 func (s Scale) runGPU(wlName string) (core.Result, time.Duration) {
 	cfg := repro.DefaultConfig(s.Cores)
 	cfg.Quantum = s.Quantum
-	cfg.Workers = s.Workers
+	cfg.NocWorkers = s.NocWorkers
 	backend, err := repro.BuildBackend(cfg, repro.ModeReciprocalGPU)
 	if err != nil {
 		panic(err)
@@ -120,7 +119,7 @@ func FigureF8(s Scale) []*stats.Table {
 		sz.OpsPerCore = s.SpeedOps
 		cfg := repro.DefaultConfig(size)
 		cfg.Quantum = sz.Quantum
-		cfg.Workers = sz.Workers
+		cfg.NocWorkers = sz.NocWorkers
 		backend, err := repro.BuildBackend(cfg, repro.ModeReciprocalGPU)
 		if err != nil {
 			panic(err)
@@ -149,10 +148,10 @@ func FigureF8(s Scale) []*stats.Table {
 	return tables
 }
 
-// FigureA2 measures the parallel engine's standalone scaling on
-// synthetic traffic: the mechanism behind the GPU path's speedup.
+// FigureA2 measures the sharded NoC sweep's standalone scaling on
+// synthetic traffic: one shard per worker, one barrier per cycle.
 func FigureA2(s Scale) []*stats.Table {
-	t := stats.NewTable("A2: parallel NoC engine scaling (synthetic uniform, 1000 cycles)",
+	t := stats.NewTable("A2: sharded NoC sweep scaling (synthetic uniform, 1000 cycles)",
 		"mesh", "workers", "wall-ms", "speedup")
 	for _, side := range []int{16, 32} {
 		var base time.Duration
@@ -172,11 +171,10 @@ func FigureA2(s Scale) []*stats.Table {
 }
 
 // timeNoCRun measures one open-loop synthetic run on a side×side mesh
-// under the given engine width.
+// sharded across the given number of workers.
 func timeNoCRun(side, workers, cycles int) time.Duration {
 	m := topology.NewMesh(side, side, 1)
-	net, err := noc.New(noc.DefaultConfig(), m, topology.NewXY(m),
-		noc.WithEngine(engine.NewParallel(workers)))
+	net, err := noc.New(noc.DefaultConfig(), m, topology.NewXY(m), noc.WithWorkers(workers))
 	if err != nil {
 		panic(err)
 	}

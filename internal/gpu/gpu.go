@@ -3,11 +3,11 @@
 // this reproduction (see DESIGN.md), so the offload is reproduced by
 // two complementary mechanisms:
 //
-//   - a real bulk-synchronous parallel execution engine
-//     (internal/noc/engine.Parallel) that computes router phases across
-//     a worker pool exactly as the GPU kernels would across thread
-//     blocks — on multi-core hosts this yields real wall-clock
-//     speedups; and
+//   - the cycle-level network's sharded sweep (noc.WithWorkers, set
+//     from NocWorkers like every detailed mode), which steps router
+//     ranges across a worker pool with one barrier per cycle, as the
+//     GPU kernels would across thread blocks — on multi-core hosts
+//     this yields real wall-clock speedups; and
 //
 //   - a device timing model (Device) that accounts kernel launches,
 //     SIMT occupancy waves, and host<->device transfers per quantum.
@@ -109,7 +109,7 @@ func (s Stats) TotalNs() float64 { return s.LaunchNs + s.ComputeNs + s.TransferN
 
 // Backend runs a cycle-level network as a modelled GPU offload. It
 // satisfies the co-simulation Backend contract. Construct the network
-// with engine.NewParallel for real host-side speedup; the device model
+// with noc.WithWorkers for real host-side speedup; the device model
 // accounts the modelled coprocessor time either way.
 type Backend struct {
 	net *noc.Network

@@ -2,9 +2,7 @@ package noc
 
 import (
 	"fmt"
-	"slices"
 
-	"repro/internal/noc/engine"
 	"repro/internal/noc/topology"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -23,10 +21,12 @@ import (
 // traversals under load, which is exactly the kind of design choice
 // the co-simulation framework exists to evaluate in system context.
 type Deflection struct {
-	cfg     DeflectConfig //simlint:derived construction input; restore validates geometry against it
-	topo    gridTopo      //simlint:derived recomputed from cfg at construction
-	eng     engine.Engine //simlint:derived execution engine; bit-identical across engines, so never snapshotted
-	ownEng  bool          //simlint:derived construction-time ownership flag for Close
+	cfg  DeflectConfig //simlint:derived construction input; restore validates geometry against it
+	topo gridTopo      //simlint:derived recomputed from cfg at construction
+
+	// Stepping (shard.go); see Network's sweep.
+	sweep //simlint:derived execution engine and wake schedules, recomputed at construction and re-seeded by resetWake after restore
+
 	routers []deflRouter
 	ifaces  []deflIface
 
@@ -37,30 +37,12 @@ type Deflection struct {
 	nextID    uint64
 	drainBuf  []*Packet //simlint:derived drain scratch, cleared on restore before reuse
 
-	// Activity gating (active.go): wake schedule, the lists the
-	// pre-bound engine closures index, and the packet free list. All
-	// derived or host-side state, excluded from snapshots.
-	gate       gate        //simlint:derived rebuilt by the gate reset after restore
-	activeList []int32     //simlint:derived per-cycle scratch refilled from the wake schedule
-	swapList   []int32     //simlint:derived per-cycle scratch refilled from the wake schedule
-	pool       packetPool  //simlint:derived host-side free list, never simulated state
-	stepFn     func(i int) //simlint:derived engine closures pre-bound at construction
-	swapFn     func(i int) //simlint:derived engine closures pre-bound at construction
+	pool        packetPool  //simlint:derived host-side free list, never simulated state
+	shardStepFn func(i int) //simlint:derived engine closure pre-bound at construction
+	shardSwapFn func(i int) //simlint:derived engine closure pre-bound at construction
 	// nbrOf[r*4+d] is the router across direction d (-1 when the edge
 	// port has no link); the wake pass walks it every stepped cycle.
 	nbrOf []int32 //simlint:derived precomputed from the topology at construction
-
-	// Sharded stepping (shard.go); see Network's shard fields.
-	shards      []shard     //simlint:derived partition recomputed at construction, re-seeded by resetWake
-	shardOf     []int16     //simlint:derived router-to-shard table recomputed at construction
-	shardStepFn func(i int) //simlint:derived engine closure pre-bound at construction
-	shardSwapFn func(i int) //simlint:derived engine closure pre-bound at construction
-	reqWorkers  int         //simlint:derived construction input from WithDeflectWorkers
-
-	// Sharded-path host accounting (never serialized).
-	shardStepped   uint64 //simlint:derived telemetry accumulator; restarts at zero after restore
-	shardActiveSum uint64 //simlint:derived telemetry accumulator; restarts at zero after restore
-	stepNanos      int64  //simlint:derived host-wall accumulator feeding the wall-gated barrier-share metric
 }
 
 // DeflectConfig parameterizes the bufferless network.
@@ -139,7 +121,6 @@ func NewDeflection(cfg DeflectConfig, topo topology.Topology, opts ...DeflectOpt
 	n := &Deflection{
 		cfg:     cfg,
 		topo:    g,
-		eng:     engine.Sequential{},
 		routers: make([]deflRouter, topo.NumRouters()),
 		ifaces:  make([]deflIface, topo.NumTerminals()),
 		tracker: stats.NewLatencyTracker(4, 512),
@@ -150,8 +131,7 @@ func NewDeflection(cfg DeflectConfig, topo topology.Topology, opts ...DeflectOpt
 	for _, o := range opts {
 		o(n)
 	}
-	n.gate.disabled = cfg.DisableGating
-	n.gate.reset(len(n.routers))
+	n.initSweep(len(n.routers), cfg.DisableGating)
 	n.nbrOf = make([]int32, len(n.routers)*4)
 	for r := range n.routers {
 		for d := 0; d < 4; d++ {
@@ -161,30 +141,15 @@ func NewDeflection(cfg DeflectConfig, topo topology.Topology, opts ...DeflectOpt
 			}
 		}
 	}
+	n.buildBoundaries()
 	// Pre-bound closures so a gated Step allocates nothing.
-	n.stepFn = func(i int) { n.stepRouter(int(n.activeList[i])) }
-	n.swapFn = func(i int) { n.swapRouter(int(n.swapList[i])) }
-	if n.reqWorkers > 1 {
-		n.eng = newShardEngine(n.eng, n.ownEng, n.reqWorkers)
-		n.ownEng = true
-		if !cfg.DisableGating {
-			n.buildShards(n.reqWorkers)
-		}
-	}
+	n.shardStepFn = n.shardStep
+	n.shardSwapFn = n.shardSwap
 	return n, nil
 }
 
 // DeflectOption configures a Deflection network.
 type DeflectOption func(*Deflection)
-
-// WithDeflectEngine selects the execution engine; the network takes
-// ownership.
-func WithDeflectEngine(e engine.Engine) DeflectOption {
-	return func(n *Deflection) {
-		n.eng = e
-		n.ownEng = true
-	}
-}
 
 // Inject queues a packet's flits at the source terminal.
 func (n *Deflection) Inject(p *Packet, at sim.Cycle) {
@@ -205,12 +170,12 @@ func (n *Deflection) Inject(p *Packet, at sim.Cycle) {
 		ni.queue = append(ni.queue, deflFlit{pkt: p, seq: s})
 	}
 	n.injected++
-	if !n.gate.disabled {
+	if !n.disabled {
 		r, _ := n.topo.RouterOf(p.Src)
 		if at < n.cycle {
 			at = n.cycle
 		}
-		n.wakeRouter(int32(r), at)
+		n.wakeRouter(int32(r), at, n.cycle)
 	}
 }
 
@@ -230,89 +195,21 @@ func (n *Deflection) Cycle() sim.Cycle { return n.cycle }
 // slots plus terminal-local state, so the engine may parallelize it;
 // the swap pass promotes staged flits.
 func (n *Deflection) Step() {
-	if n.gate.disabled {
+	if n.disabled {
 		R := len(n.routers)
 		n.eng.Run(R, n.stepRouter)
 		n.eng.Run(R, n.swapRouter)
-		n.gate.stepped++
+		n.stepped++
 		n.cycle++
 		return
 	}
-	if len(n.shards) > 0 {
-		n.stepSharded()
-		return
-	}
-	n.activeList = n.gate.due(n.cycle)
-	n.gate.stepped++
-	n.gate.activeSum += uint64(len(n.activeList))
-	if len(n.activeList) > 0 {
-		n.eng.Run(len(n.activeList), n.stepFn)
-		n.wakePass()
-	}
-	n.cycle++
-}
-
-// wakePass runs sequentially after the router pass. Staged arrivals
-// can exist only at active routers and their neighbours; swap exactly
-// the routers that hold one (once each — a second swap would wipe the
-// promoted arrivals), then re-arm wakes for next-cycle work.
-func (n *Deflection) wakePass() {
-	now := n.cycle
-	cand := n.swapList[:0]
-	for _, r32 := range n.activeList {
-		r := int(r32)
-		cand = append(cand, r32)
-		for d := 0; d < 4; d++ {
-			if nb := n.nbrOf[r*4+d]; nb >= 0 {
-				cand = append(cand, nb)
-			}
-		}
-	}
-	slices.Sort(cand)
-	out := cand[:0]
-	prev := int32(-1)
-	for _, c := range cand {
-		if c == prev {
-			continue
-		}
-		prev = c
-		rt := &n.routers[c]
-		if rt.next[0].pkt != nil || rt.next[1].pkt != nil ||
-			rt.next[2].pkt != nil || rt.next[3].pkt != nil {
-			out = append(out, c)
-		}
-	}
-	n.swapList = out
-	n.eng.Run(len(out), n.swapFn)
-	// A router that just received arrivals must run next cycle.
-	for _, r := range out {
-		n.gate.markNext(r)
-	}
-	// An NI with queued flits re-arms its router: immediately when the
-	// head is (or next cycle becomes) eligible, at its creation cycle
-	// otherwise.
-	for _, r32 := range n.activeList {
-		ni := &n.ifaces[n.topo.TerminalAt(int(r32), 0)]
-		if ni.qHead < len(ni.queue) {
-			if at := ni.queue[ni.qHead].pkt.CreatedAt; at > now+1 {
-				n.gate.wake(r32, at, now)
-			} else {
-				n.gate.markNext(r32)
-			}
-		}
-	}
+	n.stepSharded()
 }
 
 // NextEventCycle reports the earliest cycle at or after the current
 // one at which any router must run; see Network.NextEventCycle.
 func (n *Deflection) NextEventCycle() (sim.Cycle, bool) {
-	if n.gate.disabled {
-		return n.cycle, true
-	}
-	if len(n.shards) > 0 {
-		return n.nextEventSharded()
-	}
-	return n.gate.next(n.cycle)
+	return n.nextEvent(n.cycle)
 }
 
 // AdvanceTo simulates through the end of cycle c-1, fast-forwarding
@@ -321,12 +218,12 @@ func (n *Deflection) AdvanceTo(c sim.Cycle) {
 	for n.cycle < c {
 		next, ok := n.NextEventCycle()
 		if !ok || next >= c {
-			n.gate.skipped += uint64(c - n.cycle)
+			n.skipped += uint64(c - n.cycle)
 			n.cycle = c
 			return
 		}
 		if next > n.cycle {
-			n.gate.skipped += uint64(next - n.cycle)
+			n.skipped += uint64(next - n.cycle)
 			n.cycle = next
 		}
 		n.Step()
@@ -336,9 +233,9 @@ func (n *Deflection) AdvanceTo(c sim.Cycle) {
 // ActivityStats reports the gating layer's work accounting.
 func (n *Deflection) ActivityStats() ActivityStats {
 	return ActivityStats{
-		Stepped:    n.gate.stepped,
-		Skipped:    n.gate.skipped,
-		ActiveSum:  n.gate.activeSum,
+		Stepped:    n.stepped,
+		Skipped:    n.skipped,
+		ActiveSum:  n.activeSum,
 		Routers:    len(n.routers),
 		PoolHits:   n.pool.hits,
 		PoolMisses: n.pool.misses,
@@ -657,11 +554,4 @@ func (n *Deflection) Quiescent() bool {
 		}
 	}
 	return true
-}
-
-// Close releases the engine if owned.
-func (n *Deflection) Close() {
-	if n.ownEng {
-		n.eng.Close()
-	}
 }

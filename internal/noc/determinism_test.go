@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"repro/internal/noc/engine"
 	"repro/internal/noc/topology"
 	"repro/internal/sim"
 )
@@ -68,8 +67,7 @@ func TestParallelEngineBitIdentical(t *testing.T) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		workers := workers
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			n := mustNet(t, DefaultConfig(), m, topology.NewXY(m),
-				WithEngine(engine.NewParallel(workers)))
+			n := mustNet(t, DefaultConfig(), m, topology.NewXY(m), WithWorkers(workers))
 			pkts := runLoad(t, n)
 			if got := fingerprint(n, pkts); got != want {
 				t.Errorf("parallel run (workers=%d) diverged from sequential\nseq: %.120s\npar: %.120s",
@@ -87,8 +85,7 @@ func TestParallelEngineAdaptiveIdentical(t *testing.T) {
 	ref := mustNet(t, DefaultConfig(), m, topology.NewOddEven(m))
 	want := fingerprint(ref, runLoad(t, ref))
 
-	n := mustNet(t, DefaultConfig(), m, topology.NewOddEven(m),
-		WithEngine(engine.NewParallel(4)))
+	n := mustNet(t, DefaultConfig(), m, topology.NewOddEven(m), WithWorkers(4))
 	if got := fingerprint(n, runLoad(t, n)); got != want {
 		t.Error("adaptive-routing parallel run diverged from sequential")
 	}

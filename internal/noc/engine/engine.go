@@ -1,14 +1,16 @@
 // Package engine provides the execution engines that drive the
-// cycle-level NoC's phase-structured state update: a sequential engine
-// and a sharded parallel engine with a barrier per phase.
+// cycle-level NoC's state update: a sequential engine and a parallel
+// engine that splits each Run into contiguous chunks across a fixed
+// worker pool, with a barrier at the end of every Run.
 //
-// The NoC's per-cycle work is organized as a sequence of phases, each
-// a function applied to every router, where a phase only writes state
-// owned by its router (plus staging slots that are read exclusively in
-// a later phase). Under that discipline, applying a phase to routers
-// in any order — or concurrently — produces identical results, which
-// is what lets the same router model run on the sequential CPU path
-// and on the (simulated) GPU coprocessor path while staying
+// The NoC hands an engine one item per shard (the gated sweep: one
+// Run, hence one barrier, per cycle) or one item per router per phase
+// (the exhaustive sweep: a barrier per phase). Either way an item only
+// writes state owned by its routers plus staging slots read no earlier
+// than the next cycle or phase, so running the items in any order — or
+// concurrently — produces identical results. That is what lets the
+// same router model run sequentially and in parallel, on the CPU path
+// and the (simulated) GPU coprocessor path, while staying
 // bit-identical. Tests assert that equivalence.
 //
 //simlint:allow-file concurrency this package IS the sanctioned parallelism: a fixed worker pool whose bit-identity to the sequential engine is asserted by determinism tests

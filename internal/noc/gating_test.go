@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"testing"
 
-	"repro/internal/noc/engine"
 	"repro/internal/noc/topology"
 	"repro/internal/sim"
 	"repro/internal/snapshot"
@@ -13,10 +12,10 @@ import (
 
 // The activity-gating property: a gated run must be bit-identical to
 // the exhaustive every-router-every-cycle sweep — same fingerprints,
-// same checkpoint bytes — across traffic patterns, engines, and worker
-// counts. The drivers below mimic the co-simulation quantum loop
-// (future-dated injections, AdvanceTo to the boundary) so idle-cycle
-// fast-forward is genuinely exercised.
+// same checkpoint bytes — across traffic patterns and worker counts.
+// The drivers below mimic the co-simulation quantum loop (future-dated
+// injections, AdvanceTo to the boundary) so idle-cycle fast-forward is
+// genuinely exercised.
 
 // patternRate returns the per-terminal injection probability and
 // destination for one (pattern, cycle, source) triple, consuming an
@@ -92,8 +91,11 @@ func runGatingLoad(t *testing.T, n *Network, pattern string) (fp string, mid, en
 }
 
 // TestGatingBitIdentical compares gated and exhaustive runs across
-// traffic patterns, both engines, and worker counts, on fingerprints
-// and on mid-run/end-of-run checkpoint bytes.
+// traffic patterns and worker counts, on fingerprints and on
+// mid-run/end-of-run checkpoint bytes. parN runs both networks under
+// WithWorkers(N): par1 is the default one-shard sweep reached through
+// the option, par4 shards the gated sweep four ways and runs the
+// exhaustive reference on a 4-worker engine.
 func TestGatingBitIdentical(t *testing.T) {
 	m := topology.NewMesh(6, 6, 1)
 	engines := []struct {
@@ -101,8 +103,8 @@ func TestGatingBitIdentical(t *testing.T) {
 		opts func() []Option
 	}{
 		{"seq", func() []Option { return nil }},
-		{"par1", func() []Option { return []Option{WithEngine(engine.NewParallel(1))} }},
-		{"par4", func() []Option { return []Option{WithEngine(engine.NewParallel(4))} }},
+		{"par1", func() []Option { return []Option{WithWorkers(1)} }},
+		{"par4", func() []Option { return []Option{WithWorkers(4)} }},
 	}
 	for _, pattern := range []string{"uniform", "hotspot", "bursty"} {
 		for _, eng := range engines {
@@ -203,8 +205,8 @@ func TestDeflectionGatingBitIdentical(t *testing.T) {
 		opts func() []DeflectOption
 	}{
 		{"seq", func() []DeflectOption { return nil }},
-		{"par1", func() []DeflectOption { return []DeflectOption{WithDeflectEngine(engine.NewParallel(1))} }},
-		{"par4", func() []DeflectOption { return []DeflectOption{WithDeflectEngine(engine.NewParallel(4))} }},
+		{"par1", func() []DeflectOption { return []DeflectOption{WithDeflectWorkers(1)} }},
+		{"par4", func() []DeflectOption { return []DeflectOption{WithDeflectWorkers(4)} }},
 	}
 	for _, pattern := range []string{"uniform", "hotspot", "bursty"} {
 		for _, eng := range engines {

@@ -11,12 +11,14 @@ import (
 // Sharded NoC stepping (see DESIGN.md "Sharded NoC stepping"): the
 // router range is partitioned into contiguous shards, one per engine
 // worker, and each shard steps its routers' full pipelines
-// concurrently. The partition leans on the same future-addressing
-// discipline that makes fused stepping valid: every cross-router
-// interaction travels through a link/credit ring slot (or a staging
-// slot) addressed at least one cycle ahead, so a shard never reads
-// another shard's same-cycle state and the only synchronization is
-// the engine barrier between per-cycle passes.
+// concurrently. Every gated network steps this way; a sequential
+// network is the one-shard case on engine.Sequential. The partition
+// leans on the same future-addressing discipline that makes fused
+// stepping valid: every cross-router interaction travels through a
+// link/credit ring slot (or a staging slot) addressed at least one
+// cycle ahead, so a shard never reads another shard's same-cycle state
+// and the only synchronization is the engine barrier between per-cycle
+// passes.
 //
 // Each shard carries its own wake schedule over its router range, so
 // activity gating composes: an idle shard's due() scan touches a
@@ -28,7 +30,7 @@ import (
 // into simulated state: wake scheduling is bitmap ORs (commutative,
 // idempotent) plus a heap whose drain order is normalized by due()'s
 // bitmap fold, so the sharded schedule is set-equal — and therefore
-// bit-identical in effect — to the sequential one.
+// bit-identical in effect — to the one-shard one.
 //
 // Everything here is derived state: shard assignment, wake schedules,
 // outboxes, and counters are recomputed on construction and conservatively
@@ -50,8 +52,7 @@ type shard struct {
 	// after the barrier drains it into the owning shards' schedules.
 	outbox []uint64 //simlint:derived per-cycle scratch drained by the sequential merge
 
-	// swapBuf is the deflection swap-candidate scratch (the per-shard
-	// analogue of Deflection.swapList).
+	// swapBuf is the deflection swap-candidate scratch.
 	swapBuf []int32 //simlint:derived per-cycle scratch refilled every stepped cycle
 
 	// boundary lists this shard's routers with at least one neighbour in
@@ -61,15 +62,63 @@ type shard struct {
 	boundary  []int32 //simlint:derived precomputed from the topology at construction
 	nbrShards []int32 //simlint:derived precomputed from the topology at construction
 
-	// Host-side accounting (never serialized): activeSum mirrors the
-	// gate's per-cycle active counts, boundaryWakes counts events that
-	// crossed a shard boundary, busyNanos accumulates this shard's
-	// in-sweep wall time for the barrier-share metric.
-	activeSum     uint64
+	// Host-side accounting (never serialized): boundaryWakes counts
+	// events that crossed a shard boundary, busyNanos accumulates this
+	// shard's in-sweep wall time for the barrier-share metric.
 	boundaryWakes uint64
 	busyNanos     int64
 
 	_ [64]byte // cache-line pad between neighbouring shards
+}
+
+// sweep is the stepping machinery both cycle-level networks embed: the
+// execution engine, the activity-gating flag and work counters, and
+// the shard partition whose per-shard gates hold the wake schedule.
+// All of it is derived or host-side state, excluded from snapshots.
+type sweep struct {
+	eng      engine.Engine
+	disabled bool    // DisableGating: the exhaustive sweep, no wake schedules
+	shards   []shard // nil when gating is disabled, otherwise min(workers, routers) >= 1 shards
+	shardOf  []int16 // router-to-shard table
+	workers  int     // construction input from WithWorkers/WithDeflectWorkers
+
+	// Work accounting (see ActivityStats): cycles simulated by a sweep,
+	// cycles fast-forwarded without one, and the summed active-set size.
+	stepped, skipped, activeSum uint64
+
+	// Shard-layer host accounting: shardActiveSum accumulates the busy
+	// shard count per stepped cycle. Wall timestamps are taken only
+	// when timed (a multi-shard network under a wall-enabled observer).
+	timed          bool
+	shardActiveSum uint64
+	stepNanos      int64
+}
+
+// initSweep builds the engine and, unless gating is disabled, the
+// partition of R routers into min(workers, R) contiguous shards (one
+// when workers <= 1).
+func (s *sweep) initSweep(R int, disabled bool) {
+	s.disabled = disabled
+	if s.workers > 1 {
+		s.eng = engine.NewParallel(s.workers)
+	} else {
+		s.eng = engine.Sequential{}
+	}
+	if disabled {
+		return
+	}
+	S := min(max(s.workers, 1), R)
+	s.shards = make([]shard, S)
+	s.shardOf = make([]int16, R)
+	for si := range s.shards {
+		lo, hi := shardChunk(R, S, si)
+		sh := &s.shards[si]
+		sh.lo, sh.hi = int32(lo), int32(hi)
+		sh.gate.reset(sh.lo, hi-lo)
+		for r := lo; r < hi; r++ {
+			s.shardOf[r] = int16(si)
+		}
+	}
 }
 
 // shardChunk divides n routers into s near-equal contiguous ranges and
@@ -86,16 +135,62 @@ func shardChunk(n, s, id int) (lo, hi int) {
 	return lo, hi
 }
 
-// wakeOut routes a wake for router t from this shard's wake pass:
-// in-range wakes go straight into the shard's own schedule, cross-shard
-// wakes are packed into the outbox for the post-barrier merge.
-func (s *shard) wakeOut(t int32, at, now sim.Cycle) {
-	if t >= s.lo && t < s.hi {
-		s.gate.wakeAt(t, at, now)
-		return
+// resetWake conservatively re-seeds every shard's wake schedule: wake
+// everything once, drop all scheduled events, clear outboxes. The
+// derived-state reset shared by snapshot restore and fork.
+func (s *sweep) resetWake() {
+	for si := range s.shards {
+		sh := &s.shards[si]
+		sh.gate.reset(sh.lo, int(sh.hi-sh.lo))
+		sh.outbox = sh.outbox[:0]
 	}
-	s.outbox = append(s.outbox, uint64(at)<<wakeShift|uint64(uint32(t))) //simlint:allow alloc outbox capacity is retained across cycles; steady state appends in place
-	s.boundaryWakes++
+}
+
+// wakeRouter schedules router r to run at cycle `at` in its owning
+// shard's schedule, from sequential (non-wake-pass) contexts:
+// injection and post-restore rebuilds.
+func (s *sweep) wakeRouter(r int32, at, now sim.Cycle) {
+	s.shards[s.shardOf[r]].gate.wake(r, at, now)
+}
+
+// nextEvent folds the per-shard schedules into the earliest pending
+// cycle at or after now. With gating disabled every cycle is an event.
+func (s *sweep) nextEvent(now sim.Cycle) (sim.Cycle, bool) {
+	if s.disabled {
+		return now, true
+	}
+	best := sim.Cycle(0)
+	ok := false
+	for si := range s.shards {
+		if c, o := s.shards[si].gate.next(now); o && (!ok || c < best) {
+			best, ok = c, true
+		}
+	}
+	return best, ok
+}
+
+// clock reads the wall clock for the shard timers, or returns the zero
+// time when timing is off.
+func (s *sweep) clock() time.Time {
+	if !s.timed {
+		return time.Time{}
+	}
+	return time.Now() //simlint:allow wallclock shard timing feeds the wall-gated barrier-share metric only, never simulated state
+}
+
+// lap adds the wall time since t0 to *acc when timing is on.
+func (s *sweep) lap(t0 time.Time, acc *int64) {
+	if s.timed {
+		*acc += time.Since(t0).Nanoseconds() //simlint:allow wallclock shard timing feeds the wall-gated barrier-share metric only, never simulated state
+	}
+}
+
+// SetShardTiming switches the shard wall timers (BusyNanos, StepNanos)
+// on or off. Only a multi-shard network takes timestamps; the
+// co-simulation turns them on while a wall-enabled observer is
+// attached.
+func (s *sweep) SetShardTiming(on bool) {
+	s.timed = on && len(s.shards) > 1
 }
 
 // ShardStats is the sharded stepping layer's host-side work accounting,
@@ -104,7 +199,8 @@ func (s *shard) wakeOut(t int32, at, now sim.Cycle) {
 // simulated state. BusyNanos and StepNanos are wall-clock measures and
 // must only feed host-side (wall-gated) observability.
 type ShardStats struct {
-	// Shards is the partition width (0 when stepping is unsharded).
+	// Shards is the partition width (0 when the network steps as one
+	// shard or ungated).
 	Shards int
 	// Stepped counts cycles simulated through the sharded path.
 	Stepped uint64
@@ -116,8 +212,28 @@ type ShardStats struct {
 	// boundary (deflection).
 	BoundaryWakes uint64
 	// BusyNanos sums per-shard in-sweep wall time; StepNanos is the wall
-	// time of the whole sharded step path, barriers included.
+	// time of the whole sharded step path, barriers included. Both stay
+	// 0 unless shard timing is on (SetShardTiming).
 	BusyNanos, StepNanos int64
+}
+
+// ShardStats reports the sharded stepping layer's work accounting,
+// zero-valued unless the network steps more than one shard.
+func (s *sweep) ShardStats() ShardStats {
+	if len(s.shards) < 2 {
+		return ShardStats{}
+	}
+	st := ShardStats{
+		Shards:          len(s.shards),
+		Stepped:         s.stepped,
+		ShardsActiveSum: s.shardActiveSum,
+		StepNanos:       s.stepNanos,
+	}
+	for si := range s.shards {
+		st.BoundaryWakes += s.shards[si].boundaryWakes
+		st.BusyNanos += s.shards[si].busyNanos
+	}
+	return st
 }
 
 // MeanActiveShards reports the mean number of busy shards per stepped
@@ -144,66 +260,20 @@ func (s ShardStats) BarrierShare() float64 {
 	return share
 }
 
+// Close releases the engine.
+func (s *sweep) Close() { s.eng.Close() }
+
 // --- VC network ---------------------------------------------------------
 
-// WithWorkers shards the gated step across w workers (w <= 1 keeps the
-// sequential path byte-for-byte unchanged). The network builds and owns
-// a parallel engine; an engine given via WithEngine is replaced. With
-// gating disabled the workers still parallelize the exhaustive
-// phase-barriered sweep, just without shard-local wake schedules.
+// WithWorkers steps the network on a w-worker parallel engine, sharding
+// the gated sweep into min(w, routers) contiguous router ranges; w <= 1
+// is one shard on the sequential engine. With gating disabled the
+// workers parallelize the exhaustive phase-barriered sweep instead.
+// Results are bit-identical for every w.
 func WithWorkers(w int) Option {
 	return func(n *Network) {
-		n.reqWorkers = w
+		n.workers = w
 	}
-}
-
-// buildShards partitions the router range into min(workers, R)
-// contiguous shards with per-shard wake schedules.
-func (n *Network) buildShards(workers int) {
-	R := len(n.routers)
-	S := workers
-	if S > R {
-		S = R
-	}
-	if S < 2 {
-		return
-	}
-	n.shards = make([]shard, S)
-	n.shardOf = make([]int16, R)
-	for si := 0; si < S; si++ {
-		lo, hi := shardChunk(R, S, si)
-		s := &n.shards[si]
-		s.lo, s.hi = int32(lo), int32(hi)
-		s.gate.resetRange(s.lo, hi-lo)
-		for r := lo; r < hi; r++ {
-			n.shardOf[r] = int16(si)
-		}
-	}
-	n.shardFn = func(si int) { n.shardStep(si) }
-}
-
-// resetWake conservatively re-seeds every wake schedule (the global
-// gate and, when sharded, each shard's): wake everything once, drop all
-// scheduled events, clear outboxes. The derived-state reset shared by
-// snapshot restore and fork.
-func (n *Network) resetWake() {
-	n.gate.reset(len(n.routers))
-	for si := range n.shards {
-		s := &n.shards[si]
-		s.gate.resetRange(s.lo, int(s.hi-s.lo))
-		s.outbox = s.outbox[:0]
-	}
-}
-
-// wakeRouter schedules router r to run at cycle `at` from sequential
-// (non-wake-pass) contexts: injection and post-restore rebuilds. Routes
-// to the owning shard's schedule when sharded.
-func (n *Network) wakeRouter(r int32, at sim.Cycle) {
-	if len(n.shards) > 0 {
-		n.shards[n.shardOf[r]].gate.wake(r, at, n.cycle)
-		return
-	}
-	n.gate.wake(r, at, n.cycle)
 }
 
 // stepSharded simulates one cycle through the shard partition: one
@@ -212,7 +282,7 @@ func (n *Network) wakeRouter(r int32, at sim.Cycle) {
 // outboxes into the owning shards' schedules. The merge is the only
 // code that writes across shard ranges, and it runs after the barrier.
 func (n *Network) stepSharded() {
-	t0 := time.Now() //simlint:allow wallclock shard timing feeds the wall-gated barrier-share metric only, never simulated state
+	t0 := n.clock()
 	n.eng.Run(len(n.shards), n.shardFn)
 	now := n.cycle
 	active := 0
@@ -229,25 +299,25 @@ func (n *Network) stepSharded() {
 		}
 		s.outbox = s.outbox[:0]
 	}
-	n.gate.stepped++
-	n.gate.activeSum += uint64(active)
-	n.shardStepped++
+	n.stepped++
+	n.activeSum += uint64(active)
 	n.shardActiveSum += uint64(busy)
-	n.stepNanos += time.Since(t0).Nanoseconds() //simlint:allow wallclock shard timing feeds the wall-gated barrier-share metric only, never simulated state
+	n.lap(t0, &n.stepNanos)
 	n.cycle++
 }
 
 // shardStep runs one shard's cycle: drain its wake schedule, sweep the
 // active routers' full pipelines, and run the shard-local wake pass.
-// The sweep shape mirrors Step's fused-vs-phase-major choice; both are
-// bit-identical, and the per-shard choice depends only on deterministic
-// active-set sizes, so it is free here too.
+// The sweep is shaped to the active-set size: with few routers, fuse
+// all five phases per router (stepRouter); near full occupancy, run
+// phase-major (one phase's code and branch history stay hot across the
+// whole list). Both shapes are bit-identical and the active-set size is
+// deterministic, so the choice is free.
 func (n *Network) shardStep(si int) {
 	s := &n.shards[si]
-	t0 := time.Now() //simlint:allow wallclock shard timing feeds the wall-gated barrier-share metric only, never simulated state
+	t0 := n.clock()
 	act := s.gate.due(n.cycle)
 	s.active = act
-	s.activeSum += uint64(len(act))
 	if len(act) > 0 {
 		if 2*len(act) < int(s.hi-s.lo) {
 			for _, r := range act {
@@ -282,13 +352,15 @@ func (n *Network) shardStep(si int) {
 		}
 		n.wakePassShard(s)
 	}
-	s.busyNanos += time.Since(t0).Nanoseconds() //simlint:allow wallclock shard timing feeds the wall-gated barrier-share metric only, never simulated state
+	n.lap(t0, &s.busyNanos)
 }
 
-// wakePassShard is wakePass scoped to one shard's active list: the
-// same event-to-wake conversion, with wakes addressed outside the
-// shard's range buffered through wakeOut instead of written into
-// another shard's schedule.
+// wakePassShard runs after the shard's pipeline sweep and converts this
+// cycle's sends and the active routers' residual state into future
+// wakes. It reads only freshly written per-cycle scratch (saGrant) and
+// persistent state. Wakes addressed outside the shard's range are
+// buffered through wakeOut instead of written into another shard's
+// schedule.
 func (n *Network) wakePassShard(s *shard) {
 	now := n.cycle
 	V := n.cfg.TotalVCs()
@@ -299,6 +371,11 @@ func (n *Network) wakePassShard(s *shard) {
 	for _, r32 := range s.active {
 		r := int(r32)
 		rt := &n.routers[r]
+		// Every switch traversal this cycle produced up to two future
+		// events: a flit arriving at the downstream router and a credit
+		// arriving at the freed input slot's upstream consumer (the
+		// neighbour across the input port, or this router's own NI
+		// credit ring for a local port).
 		for p := 0; p < ports; p++ {
 			g := rt.saGrant[p]
 			if g < 0 {
@@ -313,6 +390,12 @@ func (n *Network) wakePassShard(s *shard) {
 				s.gate.wakeAt(r32, now+credLat, now)
 			}
 		}
+		// A router whose local state can still make progress re-arms
+		// for the next cycle: buffered or mid-allocation input VCs
+		// retry RC/VA/SA, and a serializing or eligible NI retries
+		// injection. Conservative (a blocked VC spins), but spinning is
+		// exactly what the exhaustive sweep does, so state matches. The
+		// occ counter stands in for a walk over the input VCs.
 		busy := rt.occ > 0
 		if !busy {
 			for p := 0; p < lp && !busy; p++ {
@@ -340,72 +423,35 @@ func (n *Network) wakePassShard(s *shard) {
 	}
 }
 
-// nextEventSharded folds the per-shard schedules into the earliest
-// pending cycle across the partition.
-func (n *Network) nextEventSharded() (sim.Cycle, bool) {
-	best := sim.Cycle(0)
-	ok := false
-	for si := range n.shards {
-		if c, o := n.shards[si].gate.next(n.cycle); o && (!ok || c < best) {
-			best, ok = c, true
-		}
+// wakeOut routes a wake for router t from this shard's wake pass:
+// in-range wakes go straight into the shard's own schedule, cross-shard
+// wakes are packed into the outbox for the post-barrier merge.
+func (s *shard) wakeOut(t int32, at, now sim.Cycle) {
+	if t >= s.lo && t < s.hi {
+		s.gate.wakeAt(t, at, now)
+		return
 	}
-	return best, ok
-}
-
-// ShardStats reports the sharded stepping layer's work accounting
-// (zero-valued when stepping is unsharded).
-func (n *Network) ShardStats() ShardStats {
-	st := ShardStats{
-		Shards:          len(n.shards),
-		Stepped:         n.shardStepped,
-		ShardsActiveSum: n.shardActiveSum,
-		StepNanos:       n.stepNanos,
-	}
-	for si := range n.shards {
-		st.BoundaryWakes += n.shards[si].boundaryWakes
-		st.BusyNanos += n.shards[si].busyNanos
-	}
-	return st
+	s.outbox = append(s.outbox, uint64(at)<<wakeShift|uint64(uint32(t))) //simlint:allow alloc outbox capacity is retained across cycles; steady state appends in place
+	s.boundaryWakes++
 }
 
 // --- Deflection network -------------------------------------------------
 
-// WithDeflectWorkers shards the gated deflection step across w workers
-// (w <= 1 keeps the sequential path byte-for-byte unchanged); see
-// WithWorkers.
+// WithDeflectWorkers steps the deflection network on a w-worker
+// parallel engine; see WithWorkers.
 func WithDeflectWorkers(w int) DeflectOption {
 	return func(n *Deflection) {
-		n.reqWorkers = w
+		n.workers = w
 	}
 }
 
-// buildShards partitions the deflection router range, additionally
-// precomputing each shard's boundary router list and neighbouring-shard
-// set for the cross-shard arrival scan in shardSwap.
-func (n *Deflection) buildShards(workers int) {
-	R := len(n.routers)
-	S := workers
-	if S > R {
-		S = R
-	}
-	if S < 2 {
-		return
-	}
-	n.shards = make([]shard, S)
-	n.shardOf = make([]int16, R)
-	for si := 0; si < S; si++ {
-		lo, hi := shardChunk(R, S, si)
-		s := &n.shards[si]
-		s.lo, s.hi = int32(lo), int32(hi)
-		s.gate.resetRange(s.lo, hi-lo)
-		for r := lo; r < hi; r++ {
-			n.shardOf[r] = int16(si)
-		}
-	}
+// buildBoundaries precomputes each shard's boundary router list and
+// neighbouring-shard set for the cross-shard arrival scan in shardSwap
+// (both empty for a single shard).
+func (n *Deflection) buildBoundaries() {
 	for si := range n.shards {
 		s := &n.shards[si]
-		isNbr := make([]bool, S)
+		isNbr := make([]bool, len(n.shards))
 		for r := int(s.lo); r < int(s.hi); r++ {
 			cross := false
 			for d := 0; d < 4; d++ {
@@ -418,35 +464,12 @@ func (n *Deflection) buildShards(workers int) {
 				s.boundary = append(s.boundary, int32(r))
 			}
 		}
-		for t := 0; t < S; t++ {
+		for t := range isNbr {
 			if isNbr[t] {
 				s.nbrShards = append(s.nbrShards, int32(t))
 			}
 		}
 	}
-	n.shardStepFn = func(si int) { n.shardStep(si) }
-	n.shardSwapFn = func(si int) { n.shardSwap(si) }
-}
-
-// resetWake conservatively re-seeds every wake schedule; see
-// Network.resetWake.
-func (n *Deflection) resetWake() {
-	n.gate.reset(len(n.routers))
-	for si := range n.shards {
-		s := &n.shards[si]
-		s.gate.resetRange(s.lo, int(s.hi-s.lo))
-		s.outbox = s.outbox[:0]
-	}
-}
-
-// wakeRouter schedules router r to run at cycle `at` from sequential
-// contexts (injection), routing to the owning shard when sharded.
-func (n *Deflection) wakeRouter(r int32, at sim.Cycle) {
-	if len(n.shards) > 0 {
-		n.shards[n.shardOf[r]].gate.wake(r, at, n.cycle)
-		return
-	}
-	n.gate.wake(r, at, n.cycle)
 }
 
 // stepSharded simulates one deflection cycle through the partition:
@@ -456,7 +479,7 @@ func (n *Deflection) wakeRouter(r int32, at sim.Cycle) {
 // staged routers and re-arms wakes. All wakes in both passes target the
 // owner shard's own schedule, so the deflection path needs no outbox.
 func (n *Deflection) stepSharded() {
-	t0 := time.Now() //simlint:allow wallclock shard timing feeds the wall-gated barrier-share metric only, never simulated state
+	t0 := n.clock()
 	n.eng.Run(len(n.shards), n.shardStepFn)
 	n.eng.Run(len(n.shards), n.shardSwapFn)
 	active := 0
@@ -467,11 +490,10 @@ func (n *Deflection) stepSharded() {
 			busy++
 		}
 	}
-	n.gate.stepped++
-	n.gate.activeSum += uint64(active)
-	n.shardStepped++
+	n.stepped++
+	n.activeSum += uint64(active)
 	n.shardActiveSum += uint64(busy)
-	n.stepNanos += time.Since(t0).Nanoseconds() //simlint:allow wallclock shard timing feeds the wall-gated barrier-share metric only, never simulated state
+	n.lap(t0, &n.stepNanos)
 	n.cycle++
 }
 
@@ -480,28 +502,28 @@ func (n *Deflection) stepSharded() {
 // stage sends into neighbours' next-cycle slots).
 func (n *Deflection) shardStep(si int) {
 	s := &n.shards[si]
-	t0 := time.Now() //simlint:allow wallclock shard timing feeds the wall-gated barrier-share metric only, never simulated state
+	t0 := n.clock()
 	act := s.gate.due(n.cycle)
 	s.active = act
-	s.activeSum += uint64(len(act))
 	for _, r := range act {
 		n.stepRouter(int(r))
 	}
-	s.busyNanos += time.Since(t0).Nanoseconds() //simlint:allow wallclock shard timing feeds the wall-gated barrier-share metric only, never simulated state
+	n.lap(t0, &s.busyNanos)
 }
 
-// shardSwap is the per-shard half of wakePass: find this shard's own
-// routers holding staged arrivals, swap each exactly once, and re-arm
-// wakes. Staged arrivals at an own router were written either by an
-// own active router (covered by the in-range neighbour scan) or by an
-// active router in a neighbouring shard (covered by the boundary list,
-// scanned only when such a shard was active — reading a peer's active
-// length here is safe: it was published before the inter-pass barrier).
-// The final staged-flit filter makes the swap set exactly the
-// sequential wakePass's swap set restricted to this shard's range.
+// shardSwap is the per-shard wake pass: find this shard's own routers
+// holding staged arrivals, swap each exactly once (a second swap would
+// wipe the promoted arrivals), and re-arm wakes. Staged arrivals at an
+// own router were written either by an own active router (covered by
+// the in-range neighbour scan) or by an active router in a neighbouring
+// shard (covered by the boundary list, scanned only when such a shard
+// was active — reading a peer's active length here is safe: it was
+// published before the inter-pass barrier). The final staged-flit
+// filter makes the swap set exactly the routers holding a staged
+// arrival within this shard's range.
 func (n *Deflection) shardSwap(si int) {
 	s := &n.shards[si]
-	t0 := time.Now() //simlint:allow wallclock shard timing feeds the wall-gated barrier-share metric only, never simulated state
+	t0 := n.clock()
 	now := n.cycle
 	cand := s.swapBuf[:0]
 	for _, r32 := range s.active {
@@ -534,6 +556,7 @@ func (n *Deflection) shardSwap(si int) {
 		}
 	}
 	s.swapBuf = out
+	// A router that just received arrivals must run next cycle.
 	for _, r32 := range out {
 		rt := &n.routers[r32]
 		for d := 0; d < 4; d++ {
@@ -546,6 +569,9 @@ func (n *Deflection) shardSwap(si int) {
 		n.swapRouter(int(r32))
 		s.gate.markNext(r32)
 	}
+	// An NI with queued flits re-arms its router: immediately when the
+	// head is (or next cycle becomes) eligible, at its creation cycle
+	// otherwise.
 	for _, r32 := range s.active {
 		ni := &n.ifaces[n.topo.TerminalAt(int(r32), 0)]
 		if ni.qHead < len(ni.queue) {
@@ -556,42 +582,5 @@ func (n *Deflection) shardSwap(si int) {
 			}
 		}
 	}
-	s.busyNanos += time.Since(t0).Nanoseconds() //simlint:allow wallclock shard timing feeds the wall-gated barrier-share metric only, never simulated state
-}
-
-// nextEventSharded folds the per-shard schedules into the earliest
-// pending cycle; see Network.nextEventSharded.
-func (n *Deflection) nextEventSharded() (sim.Cycle, bool) {
-	best := sim.Cycle(0)
-	ok := false
-	for si := range n.shards {
-		if c, o := n.shards[si].gate.next(n.cycle); o && (!ok || c < best) {
-			best, ok = c, true
-		}
-	}
-	return best, ok
-}
-
-// ShardStats reports the sharded stepping layer's work accounting.
-func (n *Deflection) ShardStats() ShardStats {
-	st := ShardStats{
-		Shards:          len(n.shards),
-		Stepped:         n.shardStepped,
-		ShardsActiveSum: n.shardActiveSum,
-		StepNanos:       n.stepNanos,
-	}
-	for si := range n.shards {
-		st.BoundaryWakes += n.shards[si].boundaryWakes
-		st.BusyNanos += n.shards[si].busyNanos
-	}
-	return st
-}
-
-// newShardEngine builds the owned parallel engine for a sharded
-// network, closing any previously owned engine first.
-func newShardEngine(prev engine.Engine, owned bool, workers int) engine.Engine {
-	if owned {
-		prev.Close()
-	}
-	return engine.NewParallel(workers)
+	n.lap(t0, &s.busyNanos)
 }

@@ -246,11 +246,12 @@ func TestDeflectionShardedSteadyStateZeroAlloc(t *testing.T) {
 
 // TestShardStats sanity-checks the shard accounting: a loaded sharded
 // run reports every shard busy at some point, boundary traffic (the
-// load crosses shard boundaries by construction), and a barrier share
-// inside [0, 1].
+// load crosses shard boundaries by construction), and, with shard
+// timing on, wall time and a barrier share inside [0, 1].
 func TestShardStats(t *testing.T) {
 	m := topology.NewMesh(6, 6, 1)
 	n := mustNet(t, DefaultConfig(), m, topology.NewXY(m), WithWorkers(4))
+	n.SetShardTiming(true)
 	runGatingLoad(t, n, "uniform")
 	st := n.ShardStats()
 	if st.Shards != 4 {
@@ -265,12 +266,18 @@ func TestShardStats(t *testing.T) {
 	if st.BoundaryWakes == 0 {
 		t.Error("uniform cross-mesh traffic produced no boundary wakes")
 	}
+	if st.StepNanos <= 0 || st.BusyNanos <= 0 {
+		t.Errorf("timed sharded run recorded StepNanos=%d BusyNanos=%d, want > 0", st.StepNanos, st.BusyNanos)
+	}
 	if bs := st.BarrierShare(); bs < 0 || bs > 1 {
 		t.Errorf("BarrierShare = %v, want in [0, 1]", bs)
 	}
-	// An unsharded network reports a zero-valued ShardStats.
+	// An unsharded (one-shard) network reports a zero-valued
+	// ShardStats, even after a loaded run with timing requested.
 	seq := mustNet(t, DefaultConfig(), m, topology.NewXY(m))
-	if st := seq.ShardStats(); st.Shards != 0 || st.Stepped != 0 {
+	seq.SetShardTiming(true)
+	runGatingLoad(t, seq, "uniform")
+	if st := seq.ShardStats(); st != (ShardStats{}) {
 		t.Errorf("unsharded ShardStats = %+v, want zero", st)
 	}
 

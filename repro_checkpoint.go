@@ -10,6 +10,12 @@ import (
 	"repro/internal/snapshot"
 )
 
+// digestForm rewrites the printed Config into its digest form; see
+// ConfigDigest.
+var digestForm = strings.NewReplacer(
+	" ComponentWorkers:", " Workers:0 ComponentWorkers:",
+	" NocWorkers:0", "")
+
 // ConfigDigest fingerprints everything a checkpoint depends on: the
 // target-machine configuration, the co-simulation mode, and a caller
 // description of the workload. Restoring a snapshot into a
@@ -30,11 +36,14 @@ func ConfigDigest(cfg Config, mode Mode, workloadDesc string) uint64 {
 	cfg.Deflect.DisableGating = false
 	// NoC sharding is the same kind of speed knob (sharded and
 	// sequential runs are bit-identical and checkpoints interchange), so
-	// the worker count is excluded too — and stripped from the printed
-	// form entirely, keeping digests stable with checkpoints written
-	// before the field existed (the golden checkpoint pins this).
+	// the worker count is excluded too. The printed form is also kept
+	// equal to that of the Config checkpoints were first written under:
+	// NocWorkers is stripped (it did not exist yet) and the retired
+	// Workers field is spliced back in at its old position, so every
+	// digest — and every saved checkpoint and cache key — stays valid
+	// (the golden checkpoint and TestConfigDigestStable pin this).
 	cfg.NocWorkers = 0
-	desc := strings.Replace(fmt.Sprintf("%+v", cfg), " NocWorkers:0", "", 1)
+	desc := digestForm.Replace(fmt.Sprintf("%+v", cfg))
 	return snapshot.Digest("repro-ckpt", string(mode), workloadDesc, desc)
 }
 

@@ -296,3 +296,39 @@ func TestGoldenCheckpoint(t *testing.T) {
 		t.Errorf("golden checkpoint resume changed\nwant %s\ngot  %s", want, got)
 	}
 }
+
+// TestConfigDigestStable pins ConfigDigest for the default 16-tile
+// machine under every mode, plus a deflection-router and a DDR-memory
+// variant, to values recorded from earlier builds. A Config field added,
+// removed or renamed without keeping the digest form stable changes
+// every digest, orphaning saved checkpoints and cosimd cache keys.
+func TestConfigDigestStable(t *testing.T) {
+	const wl = "fft-16-250-42"
+	want := map[Mode]uint64{
+		ModeSynchronous:   0x2fb60f5d909c07e4,
+		ModeAbstract:      0x3f6f36772584b879,
+		ModeContention:    0x52f761dced2245ac,
+		ModeReciprocal:    0x019937b5f0f510cb,
+		ModeReciprocalGPU: 0xd3de8bcd4781c416,
+		ModeHybrid:        0xc3bcc443d8df9849,
+		ModeCalibrated:    0xac2f76de59acf9f6,
+	}
+	if len(want) != len(Modes()) {
+		t.Fatalf("pinned %d modes, Modes() lists %d", len(want), len(Modes()))
+	}
+	for _, m := range Modes() {
+		if got := ConfigDigest(DefaultConfig(16), m, wl); got != want[m] {
+			t.Errorf("ConfigDigest(DefaultConfig(16), %s) = %#x, want %#x", m, got, want[m])
+		}
+	}
+	defl := DefaultConfig(16)
+	defl.RouterArch = "deflect"
+	if got := ConfigDigest(defl, ModeReciprocal, wl); got != 0xc84937026b4c91b5 {
+		t.Errorf("deflect ConfigDigest = %#x, want 0xc84937026b4c91b5", got)
+	}
+	ddr := DefaultConfig(16)
+	ddr.System.MemModel = "ddr"
+	if got := ConfigDigest(ddr, ModeReciprocal, wl); got != 0xd99943d57eac52a7 {
+		t.Errorf("ddr ConfigDigest = %#x, want 0xd99943d57eac52a7", got)
+	}
+}
