@@ -47,11 +47,12 @@ race:
 # exhaustive sequential sweep (checkpoint bytes + final results), plus
 # the internal/noc and internal/core shard and gating property tests
 # (every gated network steps through the shard path, one shard when
-# sequential). This is the data-race proof for the sharded stepping
+# sequential), plus the VC allocators' pinned-outcome test at one and
+# four workers. This is the data-race proof for the sharded stepping
 # path — blocking in CI.
 race-shard:
 	$(GO) test -race -run 'TestShardedBitIdenticalAllModes' -count=1 .
-	$(GO) test -race -run 'Shard|Gating' -count=1 ./internal/noc ./internal/core
+	$(GO) test -race -run 'Shard|Gating|Pinned' -count=1 ./internal/noc ./internal/core
 
 simcheck:
 	$(GO) test -tags simcheck ./...

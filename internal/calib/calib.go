@@ -19,8 +19,13 @@ import "repro/internal/sim"
 // is the identity; use NewAffine to get one with a bounded window.
 type Affine struct {
 	alpha, beta float64
-	pred, obs   []float64
-	maxWindow   int //simlint:derived construction-time capacity; restore validates the window against it
+	pred, obs   []float64 // the observation window, oldest first
+	// predBuf and obsBuf back the window once it is full: the views
+	// slide one slot per observation and are copied back to the front
+	// only when they reach the end of a twice-the-window array, so
+	// Observe is amortized O(1) rather than O(window).
+	predBuf, obsBuf []float64 //simlint:derived backing storage of pred/obs, allocated on the first compaction
+	maxWindow       int       //simlint:derived construction-time capacity; restore validates the window against it
 }
 
 // NewAffine returns an identity correction with a sliding observation
@@ -41,13 +46,25 @@ func (a *Affine) Coeffs() (alpha, beta float64) { return a.alpha, a.beta }
 // Observe records one (base-model prediction, detailed observation)
 // pair, dropping the oldest pairs beyond the window.
 func (a *Affine) Observe(predicted, observed float64) {
+	if len(a.pred) == a.maxWindow {
+		if cap(a.pred) == a.maxWindow {
+			a.pred, a.predBuf = compactWindow(a.pred, a.predBuf)
+			a.obs, a.obsBuf = compactWindow(a.obs, a.obsBuf)
+		}
+		a.pred, a.obs = a.pred[1:], a.obs[1:]
+	}
 	a.pred = append(a.pred, predicted)
 	a.obs = append(a.obs, observed)
-	if len(a.pred) > a.maxWindow {
-		drop := len(a.pred) - a.maxWindow
-		a.pred = append(a.pred[:0], a.pred[drop:]...)
-		a.obs = append(a.obs[:0], a.obs[drop:]...)
+}
+
+// compactWindow copies a full window view to the front of its backing
+// array, allocating the array at twice the window on first use, so
+// the view has a window's worth of free slots to slide into.
+func compactWindow(w, buf []float64) (view, backing []float64) {
+	if cap(buf) < 2*len(w) {
+		buf = make([]float64, 2*len(w))
 	}
+	return append(buf[:0], w...), buf
 }
 
 // Retune refits the correction by ordinary least squares over the

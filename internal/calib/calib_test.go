@@ -57,6 +57,72 @@ func TestAffineWindowSlides(t *testing.T) {
 	}
 }
 
+// TestAffineCompactingWindowMatchesCopy drives the sliding window well
+// past twice its size (so the backing array compacts several times)
+// and checks it against a naive reference that re-copies the window on
+// every observation: the fitted coefficients and the encoded bytes
+// must be equal at every check, and so must a fork restored mid-run.
+func TestAffineCompactingWindowMatchesCopy(t *testing.T) {
+	for _, w := range []int{8, 13, 4096} {
+		a := NewAffine(w)
+		var pred, obs []float64 // the reference window
+		every := 1
+		if w > 64 {
+			every = 97
+		}
+		var fork *Affine
+		var forkBytes []byte
+		for k := 0; k < 5*w+3; k++ {
+			x := float64(k%17) + 1/float64(k+3)
+			y := 1.7*x + math.Sin(float64(k))
+			a.Observe(x, y)
+			pred = append(pred, x)
+			obs = append(obs, y)
+			if len(pred) > w {
+				pred = append([]float64(nil), pred[1:]...)
+				obs = append([]float64(nil), obs[1:]...)
+			}
+			if k == 2*w+1 {
+				fork = a.Fork()
+				forkBytes = affineBytes(a)
+			}
+			if k%every != 0 && k != 5*w+2 {
+				continue
+			}
+			ref := &Affine{alpha: 1, pred: pred, obs: obs, maxWindow: w}
+			a.Retune()
+			ref.Retune()
+			ga, gb := a.Coeffs()
+			ra, rb := ref.Coeffs()
+			if ga != ra || gb != rb {
+				t.Fatalf("w=%d after %d observations: coeffs (%v, %v), reference (%v, %v)", w, k+1, ga, gb, ra, rb)
+			}
+			if got, want := affineBytes(a), affineBytes(ref); string(got) != string(want) {
+				t.Fatalf("w=%d after %d observations: encoded window differs from the reference", w, k+1)
+			}
+		}
+		// The fork was taken mid-run and must not share storage with
+		// the fit that kept observing; restoring it into a fit that
+		// holds a different window must bring back exactly the forked
+		// one.
+		if string(affineBytes(fork)) != string(forkBytes) {
+			t.Fatalf("w=%d: the fork changed after its parent kept observing", w)
+		}
+		restored := NewAffine(w)
+		restored.RestoreFork(a)
+		restored.RestoreFork(fork)
+		if string(affineBytes(restored)) != string(forkBytes) {
+			t.Fatalf("w=%d: RestoreFork does not reproduce the forked window", w)
+		}
+	}
+}
+
+func affineBytes(a *Affine) []byte {
+	e := snapshot.NewEncoder(1)
+	a.SnapshotTo(e)
+	return e.Finish()
+}
+
 // TestReciprocalFeed exercises the predict/observe/retune cycle of a
 // pairing over integer request ids.
 func TestReciprocalFeed(t *testing.T) {

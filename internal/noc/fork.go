@@ -134,11 +134,11 @@ func (n *Network) copyStateFrom(src *Network, remap PacketRemap) {
 		copy(dst.vaPtr, s.vaPtr)
 		copy(dst.saInPtr, s.saInPtr)
 		copy(dst.saOutPtr, s.saOutPtr)
-		// saReq/saReqPort/saGrant are per-cycle scratch, rewritten by
+		// saGrant and vaScratch are per-cycle scratch, rewritten by
 		// every router step before being read; a snapshot restore
 		// re-derives them, so the fork leaves them alone too.
 		copy(dst.outFlits, s.outFlits)
-		dst.occ = s.occ
+		copy(dst.occ, s.occ)
 		dst.bufWrites = s.bufWrites
 		dst.bufReads = s.bufReads
 		dst.arbGrants = s.arbGrants

@@ -82,16 +82,13 @@ func (ni *Iface) tryInject(n *Network, rt *router, now sim.Cycle) {
 	if ni.credits[ni.curVC] <= 0 {
 		return
 	}
-	V := n.cfg.TotalVCs()
-	ivc := &rt.in[ni.localPort*V+int(ni.curVC)]
-	ivc.buf.push(flitEntry{
+	i := ni.localPort*n.cfg.TotalVCs() + int(ni.curVC)
+	rt.in[i].buf.push(flitEntry{
 		pkt:   ni.cur,
 		seq:   ni.curSeq,
 		ready: now + sim.Cycle(n.cfg.RouterStages-1),
 	})
-	if ivc.state == vcIdle && ivc.buf.len() == 1 {
-		rt.occ++
-	}
+	rt.occ.add(i)
 	rt.bufWrites++
 	ni.credits[ni.curVC]--
 	ni.injectedFlits++

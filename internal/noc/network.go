@@ -77,8 +77,10 @@ func New(cfg Config, topo topology.Topology, routing topology.Routing, opts ...O
 
 	n.routers = make([]router, R)
 	n.links = make([][]*link, R)
+	words := occWords(ports * V)
+	occ := make([]uint64, R*words) // every router's occupancy set, one allocation
 	for r := 0; r < R; r++ {
-		n.routers[r] = newRouter(ports, V, cfg.BufDepth)
+		n.routers[r] = newRouter(ports, V, cfg.BufDepth, occ[r*words:(r+1)*words:(r+1)*words])
 		n.links[r] = make([]*link, ports)
 		// Ejection VCs sink without backpressure.
 		for p := 0; p < lp; p++ {

@@ -2,6 +2,7 @@ package noc
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/noc/topology"
 	"repro/internal/sim"
@@ -42,27 +43,29 @@ type vaReq struct {
 // phase methods on Network, each of which touches only this router's
 // state plus staging slots it exclusively writes, which is what makes
 // the parallel engine safe.
+//
+// Allocation cost follows the work, not the VC count: RC and VA walk
+// only the occupancy set's members, the VA output arbiters rotate over
+// this cycle's request list, and SA's output arbitration is folded into
+// its input pass.
 type router struct {
 	in  []inputVC // ports × totalVCs
 	out []outVC   // ports × totalVCs
 
 	vaPtr    []int32 // per output port: RR pointer over global input-VC ids
-	saInPtr  []int32 // per input port: RR pointer over its VCs
-	saOutPtr []int32 // per output port: RR pointer over input ports
+	saInPtr  []int32 // per input port: RR pointer over its VCs, in [0, totalVCs]
+	saOutPtr []int32 // per output port: RR pointer over input ports, in [0, ports]
 
-	saReq     []int32 // per input port: input VC bidding this cycle, or -1
-	saReqPort []int32 // per input port: output port that bid targets
-	saGrant   []int32 // per output port: granted input VC, or -1
+	saGrant []int32 // per output port: granted input VC, or -1
 
 	vaScratch []vaReq  // reused each VA phase
-	vaIndex   []int32  // per input VC: slot in vaScratch this cycle
 	outFlits  []uint64 // per output port: flits traversed (utilization)
 
-	// occ counts input VCs that are non-idle or non-empty — the wake
-	// pass's busy predicate as a single load instead of an input-VC
-	// walk. Maintained at the push site (ingress, NI inject) and the
-	// release site (ST tail pop); derived state, rebuilt on restore.
-	occ int32
+	// occ is the set of input VCs that are non-idle or non-empty: the
+	// only VCs RC, VA and SA can act on, and the wake pass's busy
+	// predicate. Maintained at the push sites (ingress, NI inject) and
+	// the release site (ST tail pop); rebuilt on restore.
+	occ vcSet //simlint:derived recounted from the input VCs on restore, copied by fork
 
 	// Energy event counters (see Network.Energy).
 	bufWrites uint64
@@ -70,18 +73,72 @@ type router struct {
 	arbGrants uint64
 }
 
-func newRouter(ports, vcs, bufDepth int) router {
+// vcSet is a bitset over a router's global input-VC ids, one bit per
+// VC, any number of words.
+type vcSet []uint64
+
+func (s vcSet) add(i int)    { s[i>>6] |= 1 << (uint(i) & 63) }
+func (s vcSet) remove(i int) { s[i>>6] &^= 1 << (uint(i) & 63) }
+func (s vcSet) has(i int) bool {
+	return s[i>>6]&(1<<(uint(i)&63)) != 0
+}
+
+// anyIn reports whether any id in [lo, hi) is a member.
+func (s vcSet) anyIn(lo, hi int) bool {
+	for w := lo >> 6; w<<6 < hi; w++ {
+		word := s[w]
+		if w == lo>>6 {
+			word &= ^uint64(0) << (uint(lo) & 63)
+		}
+		if end := hi - w<<6; end < 64 {
+			word &= 1<<uint(end) - 1
+		}
+		if word != 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// busy reports whether any input VC is occupied.
+func (rt *router) busy() bool {
+	for _, w := range rt.occ {
+		if w != 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// recountOcc rebuilds the occupancy set from the input VCs.
+func (rt *router) recountOcc() {
+	for w := range rt.occ {
+		rt.occ[w] = 0
+	}
+	for i := range rt.in {
+		if rt.in[i].state != vcIdle || rt.in[i].buf.len() != 0 {
+			rt.occ.add(i)
+		}
+	}
+}
+
+// occWords is the occupancy-set size in words for a router with the
+// given input-VC count.
+func occWords(inVCs int) int { return (inVCs + 63) / 64 }
+
+// newRouter builds a router whose occupancy set lives in occ, a slice
+// of occWords(ports*vcs) words carved from the network's shared
+// backing array.
+func newRouter(ports, vcs, bufDepth int, occ []uint64) router {
 	rt := router{
-		in:        make([]inputVC, ports*vcs),
-		out:       make([]outVC, ports*vcs),
-		vaPtr:     make([]int32, ports),
-		saInPtr:   make([]int32, ports),
-		saOutPtr:  make([]int32, ports),
-		saReq:     make([]int32, ports),
-		saReqPort: make([]int32, ports),
-		saGrant:   make([]int32, ports),
-		vaIndex:   make([]int32, ports*vcs),
-		outFlits:  make([]uint64, ports),
+		in:       make([]inputVC, ports*vcs),
+		out:      make([]outVC, ports*vcs),
+		vaPtr:    make([]int32, ports),
+		saInPtr:  make([]int32, ports),
+		saOutPtr: make([]int32, ports),
+		saGrant:  make([]int32, ports),
+		outFlits: make([]uint64, ports),
+		occ:      occ,
 	}
 	for i := range rt.in {
 		rt.in[i].buf = newFlitBuf(bufDepth)
@@ -99,7 +156,7 @@ func newRouter(ports, vcs, bufDepth int) router {
 // cycle was written by any router this cycle. The gated Step uses
 // this as its engine pass for small active sets.
 //
-// A router with no occupied input VC after ingress — woken only to
+// A router whose occupancy set is empty after ingress — woken only to
 // consume a credit, say — cannot route, allocate, bid, or traverse:
 // RC/VA/SA/ST are byte-level no-ops, so the gated sweeps skip them.
 // Only the switch-allocation scratch needs care: clearGrants rewrites
@@ -108,7 +165,7 @@ func newRouter(ports, vcs, bufDepth int) router {
 func (n *Network) stepRouter(r int) {
 	n.phaseIngress(r)
 	rt := &n.routers[r]
-	if rt.occ == 0 {
+	if !rt.busy() {
 		clearGrants(rt)
 		return
 	}
@@ -138,15 +195,13 @@ func (n *Network) phaseIngress(r int) {
 	for p := lp; p < ports; p++ {
 		if lnk := n.links[r][p]; lnk != nil {
 			if f, ok := lnk.recvFlit(now); ok {
-				ivc := &rt.in[p*V+int(f.vc)]
-				ivc.buf.push(flitEntry{
+				i := p*V + int(f.vc)
+				rt.in[i].buf.push(flitEntry{
 					pkt:   f.pkt,
 					seq:   f.seq,
 					ready: now + sim.Cycle(n.cfg.RouterStages-1),
 				})
-				if ivc.state == vcIdle && ivc.buf.len() == 1 {
-					rt.occ++
-				}
+				rt.occ.add(i)
 				rt.bufWrites++
 			}
 		}
@@ -175,31 +230,35 @@ func (n *Network) phaseIngress(r int) {
 	}
 }
 
-// phaseRC computes routes for head flits at the front of idle VCs.
+// phaseRC computes routes for head flits at the front of idle VCs,
+// walking only the occupied input VCs in ascending id order.
 func (n *Network) phaseRC(r int) {
 	rt := &n.routers[r]
 	now := n.cycle
-	for i := range rt.in {
-		ivc := &rt.in[i]
-		if ivc.state != vcIdle || ivc.buf.len() == 0 {
-			continue
+	for w, word := range rt.occ {
+		for ; word != 0; word &= word - 1 {
+			i := w<<6 | bits.TrailingZeros64(word)
+			ivc := &rt.in[i]
+			if ivc.state != vcIdle {
+				continue
+			}
+			e := ivc.buf.front()
+			if e.ready > now {
+				continue
+			}
+			if !e.head() {
+				panic(fmt.Sprintf("noc: non-head flit %d of %v at front of idle VC", e.seq, e.pkt))
+			}
+			dstRouter, dstPort := n.topo.RouterOf(e.pkt.Dst)
+			if dstRouter == r {
+				ivc.choices = append(ivc.choices[:0], topology.Choice{Port: dstPort}) //simlint:allow alloc refills the per-VC choices scratch, capacity one after first use
+			} else {
+				V := n.cfg.TotalVCs()
+				curSet := (i % V % n.cfg.VCsPerVNet) / n.vcsPerSet
+				ivc.choices = n.routing.Route(r, e.pkt.Src, e.pkt.Dst, curSet, ivc.choices[:0])
+			}
+			ivc.state = vcWaitVA
 		}
-		e := ivc.buf.front()
-		if e.ready > now {
-			continue
-		}
-		if !e.head() {
-			panic(fmt.Sprintf("noc: non-head flit %d of %v at front of idle VC", e.seq, e.pkt))
-		}
-		dstRouter, dstPort := n.topo.RouterOf(e.pkt.Dst)
-		if dstRouter == r {
-			ivc.choices = append(ivc.choices[:0], topology.Choice{Port: dstPort}) //simlint:allow alloc refills the per-VC choices scratch, capacity one after first use
-		} else {
-			V := n.cfg.TotalVCs()
-			curSet := (i % V % n.cfg.VCsPerVNet) / n.vcsPerSet
-			ivc.choices = n.routing.Route(r, e.pkt.Src, e.pkt.Dst, curSet, ivc.choices[:0])
-		}
-		ivc.state = vcWaitVA
 	}
 }
 
@@ -207,35 +266,43 @@ func (n *Network) phaseRC(r int) {
 // selects its best admissible next hop (by downstream credit count,
 // for adaptive routing), then a per-output-port round-robin arbiter
 // grants free VCs in the requested virtual network and VC-set range.
+//
+// The requests are built from the occupancy set, so they come out in
+// ascending input-VC id order. Output port p's arbiter therefore walks
+// the request list rotated to start at the first id >= vaPtr[p] — the
+// same cyclic order as a scan of the whole id space from vaPtr[p], at
+// the cost of the requests alone.
 func (n *Network) phaseVA(r int) {
 	rt := &n.routers[r]
 	V := n.cfg.TotalVCs()
 	reqs := rt.vaScratch[:0]
 
-	for i := range rt.in {
-		ivc := &rt.in[i]
-		if ivc.state != vcWaitVA {
-			continue
-		}
-		vnet := i % V / n.cfg.VCsPerVNet
-		best := -1
-		bestScore := int64(-1)
-		for ci, ch := range ivc.choices {
-			free, creditSum := n.vcRangeAvail(rt, ch.Port, vnet, ch.VCSet)
-			if free == 0 {
+	for w, word := range rt.occ {
+		for ; word != 0; word &= word - 1 {
+			i := w<<6 | bits.TrailingZeros64(word)
+			ivc := &rt.in[i]
+			if ivc.state != vcWaitVA {
 				continue
 			}
-			if creditSum > bestScore {
-				bestScore = creditSum
-				best = ci
+			vnet := i % V / n.cfg.VCsPerVNet
+			best := -1
+			bestScore := int64(-1)
+			for ci, ch := range ivc.choices {
+				free, creditSum := n.vcRangeAvail(rt, ch.Port, vnet, ch.VCSet)
+				if free == 0 {
+					continue
+				}
+				if creditSum > bestScore {
+					bestScore = creditSum
+					best = ci
+				}
 			}
+			if best < 0 {
+				continue // no free VC on any admissible hop; retry next cycle
+			}
+			ch := ivc.choices[best]
+			reqs = append(reqs, vaReq{ivc: int32(i), port: int16(ch.Port), set: int8(ch.VCSet), vnet: int8(vnet)}) //simlint:allow alloc refills vaScratch, bounded by the router's input-VC count
 		}
-		if best < 0 {
-			continue // no free VC on any admissible hop; retry next cycle
-		}
-		ch := ivc.choices[best]
-		rt.vaIndex[i] = int32(len(reqs))
-		reqs = append(reqs, vaReq{ivc: int32(i), port: int16(ch.Port), set: int8(ch.VCSet), vnet: int8(vnet)}) //simlint:allow alloc refills vaScratch, bounded by the router's input-VC count
 	}
 	rt.vaScratch = reqs[:0] // keep capacity
 
@@ -245,18 +312,19 @@ func (n *Network) phaseVA(r int) {
 	ports := n.topo.Ports()
 	for p := 0; p < ports; p++ {
 		granted := false
-		// Round-robin over requesters by global input-VC id.
-		base := rt.vaPtr[p]
-		for off := int32(0); off < int32(len(rt.in)); off++ {
-			id := (base + off) % int32(len(rt.in))
-			// vaIndex needs no per-cycle reset: a stale slot can only
-			// pass the ivc check if reqs[j] is id's own request, and in
-			// that case the fill above just overwrote vaIndex[id].
-			j := rt.vaIndex[id]
-			if int(j) >= len(reqs) || reqs[j].ivc != id || reqs[j].port != int16(p) {
-				continue
+		first := 0
+		for first < len(reqs) && reqs[first].ivc < rt.vaPtr[p] {
+			first++
+		}
+		for off := range reqs {
+			j := first + off
+			if j >= len(reqs) {
+				j -= len(reqs)
 			}
 			req := reqs[j]
+			if req.port != int16(p) {
+				continue
+			}
 			vc, found := n.freeVCInRange(rt, p, int(req.vnet), int(req.set))
 			if !found {
 				continue
@@ -268,7 +336,7 @@ func (n *Network) phaseVA(r int) {
 			rt.out[p*V+vc].owner = req.ivc
 			rt.arbGrants++
 			if !granted {
-				rt.vaPtr[p] = (id + 1) % int32(len(rt.in))
+				rt.vaPtr[p] = (req.ivc + 1) % int32(len(rt.in))
 				granted = true
 			}
 		}
@@ -308,6 +376,11 @@ func (n *Network) freeVCInRange(rt *router, port, vnet, set int) (int, bool) {
 // phaseSA performs separable input-first switch allocation: each input
 // port nominates one of its active VCs (round-robin), then each output
 // port grants one nominating input port (round-robin).
+//
+// Input ports nominate in ascending order, so the output arbitration
+// folds into the same pass: output op's winner is the first nominee at
+// or after saOutPtr[op], or failing that the first nominee overall. An
+// input port with no occupied VC cannot nominate and is skipped.
 func (n *Network) phaseSA(r int) {
 	rt := &n.routers[r]
 	now := n.cycle
@@ -315,12 +388,22 @@ func (n *Network) phaseSA(r int) {
 	lp := n.topo.LocalPorts()
 	ports := n.topo.Ports()
 
+	clearGrants(rt)
 	for ip := 0; ip < ports; ip++ {
-		rt.saReq[ip] = -1
-		base := rt.saInPtr[ip]
-		for off := int32(0); off < int32(V); off++ {
-			v := (base + off) % int32(V)
-			i := ip*V + int(v)
+		lo := ip * V
+		if !rt.occ.anyIn(lo, lo+V) {
+			continue
+		}
+		base := int(rt.saInPtr[ip])
+		for off := 0; off < V; off++ {
+			v := base + off
+			if v >= V {
+				v -= V
+			}
+			i := lo + v
+			if !rt.occ.has(i) {
+				continue
+			}
 			ivc := &rt.in[i]
 			if ivc.state != vcActive || ivc.buf.len() == 0 {
 				continue
@@ -334,23 +417,17 @@ func (n *Network) phaseSA(r int) {
 			if op >= lp && rt.out[op*V+int(ivc.outVC)].credits <= 0 {
 				continue
 			}
-			rt.saReq[ip] = int32(i)
-			rt.saReqPort[ip] = int32(op)
-			rt.saInPtr[ip] = v + 1
+			rt.saInPtr[ip] = int32(v + 1)
+			ptr := int(rt.saOutPtr[op])
+			if g := int(rt.saGrant[op]); g < 0 || (g/V < ptr && ip >= ptr) {
+				rt.saGrant[op] = int32(i)
+			}
 			break
 		}
 	}
-
-	for p := 0; p < ports; p++ {
-		rt.saGrant[p] = -1
-		base := rt.saOutPtr[p]
-		for off := int32(0); off < int32(ports); off++ {
-			ip := (base + off) % int32(ports)
-			if rt.saReq[ip] >= 0 && rt.saReqPort[ip] == int32(p) {
-				rt.saGrant[p] = rt.saReq[ip]
-				rt.saOutPtr[p] = ip + 1
-				break
-			}
+	for p, g := range rt.saGrant {
+		if g >= 0 {
+			rt.saOutPtr[p] = g/int32(V) + 1
 		}
 	}
 }
@@ -412,7 +489,7 @@ func (n *Network) phaseST(r int) {
 			rt.out[p*V+int(ivc.outVC)].owner = -1
 			ivc.state = vcIdle
 			if ivc.buf.len() == 0 {
-				rt.occ--
+				rt.occ.remove(int(g))
 			}
 		}
 	}

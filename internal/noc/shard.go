@@ -328,24 +328,24 @@ func (n *Network) shardStep(si int) {
 				n.phaseIngress(int(r))
 			}
 			for _, r := range act {
-				if n.routers[r].occ > 0 {
+				if n.routers[r].busy() {
 					n.phaseRC(int(r))
 				}
 			}
 			for _, r := range act {
-				if n.routers[r].occ > 0 {
+				if n.routers[r].busy() {
 					n.phaseVA(int(r))
 				}
 			}
 			for _, r := range act {
-				if n.routers[r].occ > 0 {
+				if n.routers[r].busy() {
 					n.phaseSA(int(r))
 				} else {
 					clearGrants(&n.routers[r])
 				}
 			}
 			for _, r := range act {
-				if n.routers[r].occ > 0 {
+				if n.routers[r].busy() {
 					n.phaseST(int(r))
 				}
 			}
@@ -395,8 +395,8 @@ func (n *Network) wakePassShard(s *shard) {
 		// retry RC/VA/SA, and a serializing or eligible NI retries
 		// injection. Conservative (a blocked VC spins), but spinning is
 		// exactly what the exhaustive sweep does, so state matches. The
-		// occ counter stands in for a walk over the input VCs.
-		busy := rt.occ > 0
+		// occupancy set stands in for a walk over the input VCs.
+		busy := rt.busy()
 		if !busy {
 			for p := 0; p < lp && !busy; p++ {
 				ni := &n.ifaces[n.topo.TerminalAt(r, p)]

@@ -147,6 +147,21 @@ func resolveRef(d *snapshot.Decoder, pkts []*Packet) *Packet {
 	return pkts[ref-1]
 }
 
+// decodePtrs reads one round-robin pointer per slot of ptrs, failing
+// the decode (and returning false) on a value outside [0, max].
+func decodePtrs(d *snapshot.Decoder, what string, ptrs []int32, max int32) bool {
+	for i := range ptrs {
+		ptrs[i] = int32(d.I64())
+		if d.Err() == nil && (ptrs[i] < 0 || ptrs[i] > max) {
+			d.Failf("%s pointer %d is %d, outside [0, %d]", what, i, ptrs[i], max)
+		}
+		if d.Err() != nil {
+			return false
+		}
+	}
+	return true
+}
+
 // SnapshotTo writes the complete mutable state of the network: the
 // live-packet table, every NI, every router (input VC buffers and
 // allocation state, output VC credits and ownership, persistent
@@ -443,12 +458,7 @@ func (n *Network) RestoreFrom(d *snapshot.Decoder, pc snapshot.PayloadCodec, tra
 		}
 		// occ is derived, not serialized: recount it from the restored
 		// input VCs.
-		rt.occ = 0
-		for i := range rt.in {
-			if rt.in[i].state != vcIdle || rt.in[i].buf.len() != 0 {
-				rt.occ++
-			}
-		}
+		rt.recountOcc()
 		for i := range rt.out {
 			rt.out[i].credits = int32(d.I64())
 			rt.out[i].owner = int32(d.I64())
@@ -458,14 +468,13 @@ func (n *Network) RestoreFrom(d *snapshot.Decoder, pc snapshot.PayloadCodec, tra
 				return d.Err()
 			}
 		}
-		for i := range rt.vaPtr {
-			rt.vaPtr[i] = int32(d.I64())
-		}
-		for i := range rt.saInPtr {
-			rt.saInPtr[i] = int32(d.I64())
-		}
-		for i := range rt.saOutPtr {
-			rt.saOutPtr[i] = int32(d.I64())
+		// The arbiters rotate without a modulo, so an out-of-range
+		// pointer is rejected here rather than misindexed later.
+		if !decodePtrs(d, "VA", rt.vaPtr, int32(len(rt.in))-1) ||
+			!decodePtrs(d, "SA input", rt.saInPtr, int32(V)) ||
+			!decodePtrs(d, "SA output", rt.saOutPtr, int32(ports)) {
+			d.Leave()
+			return d.Err()
 		}
 		for i := range rt.outFlits {
 			rt.outFlits[i] = d.U64()

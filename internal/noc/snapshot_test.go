@@ -102,6 +102,41 @@ func TestNetworkSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
+// TestRestoreRejectsOutOfRangePointers: the allocators rotate their
+// round-robin pointers without a modulo, so a checkpoint carrying a
+// pointer outside its rotation range must fail to restore rather than
+// misindex later. The largest in-range values must still restore.
+func TestRestoreRejectsOutOfRangePointers(t *testing.T) {
+	m := topology.NewMesh(2, 2, 1)
+	V := DefaultConfig().TotalVCs()
+	ports := m.Ports()
+	inVCs := ports * V
+	for _, tc := range []struct {
+		name string
+		set  func(rt *router, v int32)
+		max  int32
+	}{
+		{"VA", func(rt *router, v int32) { rt.vaPtr[1] = v }, int32(inVCs - 1)},
+		{"SA input", func(rt *router, v int32) { rt.saInPtr[1] = v }, int32(V)},
+		{"SA output", func(rt *router, v int32) { rt.saOutPtr[1] = v }, int32(ports)},
+	} {
+		for _, v := range []int32{-1, tc.max, tc.max + 1} {
+			src := mustNet(t, DefaultConfig(), m, topology.NewXY(m))
+			tc.set(&src.routers[2], v)
+			e := snapshot.NewEncoder(1)
+			src.SnapshotTo(e, nil)
+			d, err := snapshot.NewDecoder(e.Finish(), 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = mustNet(t, DefaultConfig(), m, topology.NewXY(m)).RestoreFrom(d, nil, nil)
+			if ok := v >= 0 && v <= tc.max; ok != (err == nil) {
+				t.Errorf("%s pointer %d: restore error %v, want error %v", tc.name, v, err, !ok)
+			}
+		}
+	}
+}
+
 // TestDeflectionSnapshotRoundTrip is the same property for the
 // bufferless network, whose reassembly map is pointer-keyed.
 func TestDeflectionSnapshotRoundTrip(t *testing.T) {

@@ -97,7 +97,7 @@
 // field declaration, which doubles as documentation of why the field
 // is recomputed rather than serialized:
 //
-//	occ int32 //simlint:derived recounted from restored input VCs
+//	occ vcSet //simlint:derived recounted from the input VCs on restore, copied by fork
 //
 // The reason is mandatory; a directive without one (or naming an
 // unknown rule) is itself reported. Test files (_test.go) are not
